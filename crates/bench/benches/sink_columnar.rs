@@ -4,7 +4,7 @@
 //! Two groups:
 //!
 //! * `sink_emit` — per-event emission cost of the in-memory `Recorder`
-//!   (push onto a ring) vs the `ColumnarSink` (buffer + amortised block
+//!   (push onto a `Vec`) vs the `ColumnarSink` (buffer + amortised block
 //!   seal), for representative event kinds: a payload-free enum event, a
 //!   float-carrying bid, the widest row (`LeaseClosed`), and a duration
 //!   phase. `NullSink` has no row here — its emissions compile away, and
@@ -66,9 +66,14 @@ fn bench_emit(c: &mut Criterion) {
     let mut g = c.benchmark_group("sink_emit");
     for (name, ev) in sample_events() {
         g.bench_function(format!("recorder/{name}"), |b| {
-            let mut rec = Recorder::with_capacity(1 << 16);
+            // Cleared every 2^16 events so memory stays bounded however
+            // many iterations the harness runs.
+            let mut rec: Recorder = Vec::with_capacity(1 << 16);
             let mut t = 0u64;
             b.iter(|| {
+                if rec.len() == 1 << 16 {
+                    rec.clear();
+                }
                 rec.emit(SimTime::millis(t), black_box(ev));
                 t += 1;
             });
@@ -106,7 +111,7 @@ fn bench_run(c: &mut Criterion) {
     });
     g.bench_function("recorder", |b| {
         b.iter(|| {
-            let mut rec = Recorder::with_capacity(1 << 16);
+            let mut rec = Recorder::new();
             black_box(SimRun::new(&traces, &cfg, 7).with_sink(&mut rec).run())
         })
     });

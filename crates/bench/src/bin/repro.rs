@@ -6,8 +6,8 @@
 //! repro --quick all     # smaller Monte-Carlo settings (CI smoke)
 //! repro --list          # list experiment names
 //! repro --csv out/ all  # also write CSV artifacts for the figures
-//! repro --trace out/ fig6  # also dump one representative seed's
-//!                          # telemetry event stream per experiment
+//! repro --trace out/ fig6  # also record one representative seed's
+//!                          # telemetry per experiment as out/fig6.col
 //! repro --trace-cap 0 all  # unbounded trace arena (default bounds
 //!                          # residency to 64 traces, ~50 MB)
 //! ```
@@ -113,28 +113,17 @@ fn main() {
                     }
                 }
                 if let Some(dir) = &trace_dir {
-                    if let Some(rec) = experiments::representative_recording(name, &settings) {
+                    if let Some(rep) = experiments::representative(name) {
                         std::fs::create_dir_all(dir).expect("create trace dir");
-                        let path = std::path::Path::new(dir).join(format!("{name}.trace.jsonl"));
-                        let mut out = std::io::BufWriter::new(
-                            std::fs::File::create(&path).expect("create trace file"),
-                        );
-                        rec.write_jsonl(&mut out).expect("write trace");
-                        println!("[wrote {} ({} events)]", path.display(), rec.len());
-                        // The same stream as a columnar store, ready for
-                        // `spothost query --store`.
-                        let col_path = std::path::Path::new(dir).join(format!("{name}.col"));
-                        let store = spothost_eventstore::ColumnarStore::create(&col_path)
+                        let path = std::path::Path::new(dir).join(format!("{name}.col"));
+                        let store = spothost_eventstore::ColumnarStore::create(&path)
                             .expect("create columnar store");
-                        let mut sink = store.sink();
-                        for &(t, ev) in rec.events() {
-                            spothost_core::telemetry::Sink::emit(&mut sink, t, ev);
-                        }
-                        drop(sink);
+                        rep.record(&settings, &mut store.sink());
                         store.finish().expect("flush columnar store");
                         println!(
-                            "[wrote {} ({} blocks)]",
-                            col_path.display(),
+                            "[wrote {} ({} events, {} blocks)]",
+                            path.display(),
+                            store.events_written(),
                             store.blocks_written()
                         );
                     }

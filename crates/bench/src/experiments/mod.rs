@@ -190,43 +190,63 @@ pub fn representative_config(name: &str) -> Option<spothost_core::SchedulerConfi
     })
 }
 
-/// One representative seed's full telemetry recording for an
-/// experiment, used to dump event streams alongside the figures
-/// (`repro --trace DIR`). Scheduler experiments replay their
-/// [`representative_config`]; `jobs` records the batch-job simulator
-/// (checkpointing rung under faults, so the job lifecycle vocabulary —
-/// start/checkpoint/restart/finish — all appears). `None` for analytic
+/// The simulation `repro --trace DIR` records for an experiment: one
+/// representative seed, persisted as `{name}.col`.
+#[derive(Debug, Clone)]
+pub enum Representative {
+    /// A scheduler run of [`representative_config`].
+    Scheduler(spothost_core::SchedulerConfig),
+    /// The batch-job simulator (checkpointing rung under faults, so the
+    /// job lifecycle vocabulary — start/checkpoint/restart/finish — all
+    /// appears).
+    Jobs(spothost_jobs::JobsConfig),
+}
+
+/// The representative run for an experiment. `None` for analytic
 /// experiments that run no simulation.
-pub fn representative_recording(
-    name: &str,
-    settings: &ExpSettings,
-) -> Option<spothost_core::telemetry::Recorder> {
-    use spothost_core::telemetry::Recorder;
+pub fn representative(name: &str) -> Option<Representative> {
+    use spothost_jobs::{JobPolicy, JobsConfig};
     if name == "jobs" {
-        use spothost_jobs::{run_jobs_on, JobPolicy, JobsConfig, JobsScratch};
+        return Some(Representative::Jobs(
+            JobsConfig::new(JobPolicy::CheckpointSpot)
+                .with_faults(spothost_faults::FaultConfig::uniform(0.1)),
+        ));
+    }
+    representative_config(name).map(Representative::Scheduler)
+}
+
+impl Representative {
+    /// Run seed `settings.seed0` over `settings.horizon`, emitting the
+    /// full telemetry stream into `sink`.
+    pub fn record<S: spothost_core::telemetry::Sink>(&self, settings: &ExpSettings, sink: &mut S) {
         use spothost_market::catalog::Catalog;
         use spothost_market::gen::TraceSet;
-        let cfg = JobsConfig::new(JobPolicy::CheckpointSpot)
-            .with_faults(spothost_faults::FaultConfig::uniform(0.1));
-        let traces = TraceSet::generate(
-            &Catalog::ec2_2015(),
-            &[cfg.market],
-            settings.seed0,
-            settings.horizon,
-        );
-        let mut rec = Recorder::new();
-        run_jobs_on(
-            &cfg,
-            &traces,
-            settings.seed0,
-            &mut rec,
-            &mut JobsScratch::new(),
-        );
-        return Some(rec);
+        let catalog = Catalog::ec2_2015();
+        match self {
+            Representative::Scheduler(cfg) => {
+                let traces = TraceSet::generate(
+                    &catalog,
+                    &cfg.candidates(),
+                    settings.seed0,
+                    settings.horizon,
+                );
+                spothost_core::SimRun::new(&traces, cfg, settings.seed0)
+                    .with_sink(sink)
+                    .run();
+            }
+            Representative::Jobs(cfg) => {
+                let traces =
+                    TraceSet::generate(&catalog, &[cfg.market], settings.seed0, settings.horizon);
+                spothost_jobs::run_jobs_on(
+                    cfg,
+                    &traces,
+                    settings.seed0,
+                    sink,
+                    &mut spothost_jobs::JobsScratch::new(),
+                );
+            }
+        }
     }
-    let cfg = representative_config(name)?;
-    let (_, rec) = spothost_core::run_one_recorded(&cfg, settings.seed0, settings.horizon);
-    Some(rec)
 }
 
 /// Run one experiment by name and return its rendered report.

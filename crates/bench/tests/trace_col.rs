@@ -1,76 +1,65 @@
-//! `repro --trace` writes each representative recording twice: as JSONL
-//! and as a `.col` columnar store. This test pins the two forms to the
-//! same stream: folding the columnar store through the query layer must
-//! reproduce the recorder's own aggregates exactly (same counts per
-//! kind, bit-identical dollar sums, same time span).
+//! `repro --trace` records each representative run straight into a
+//! columnar store. This test pins that record path to the in-memory
+//! stream: a store recorded through `ColumnarSink` must decode to exactly
+//! the events a `Recorder` sees on the same config and seed, with the
+//! same per-kind counts and bit-identical `cost` sums.
 
 use spothost_bench::experiments;
 use spothost_bench::ExpSettings;
-use spothost_core::telemetry::Sink;
-use spothost_eventstore::{ColReader, ColumnarStore, EventKind, Field, Predicate};
+use spothost_core::telemetry::Recorder;
+use spothost_eventstore::{ColReader, ColumnarStore, EventKind, Field};
 use std::collections::BTreeMap;
 
-fn col_roundtrip(name: &str) {
+fn col_matches_recorder(name: &str) {
     let settings = ExpSettings::quick();
-    let rec = experiments::representative_recording(name, &settings)
-        .unwrap_or_else(|| panic!("{name} has no representative recording"));
+    let rep = experiments::representative(name)
+        .unwrap_or_else(|| panic!("{name} has no representative run"));
+
+    let mut rec = Recorder::new();
+    rep.record(&settings, &mut rec);
     assert!(!rec.is_empty(), "{name}: empty recording");
 
-    // Encode exactly the way `repro --trace` does (small blocks so the
-    // file is multi-block), then read it back through the query layer.
-    let store = ColumnarStore::in_memory().with_block_events(512);
-    let mut sink = store.sink();
-    for &(t, ev) in rec.events() {
-        sink.emit(t, ev);
-    }
-    drop(sink);
+    // Blocks of a quarter of the stream, so the file is multi-block.
+    let store = ColumnarStore::in_memory().with_block_events(rec.len().div_ceil(4));
+    rep.record(&settings, &mut store.sink());
     store.finish().expect("in-memory store cannot fail I/O");
     let reader = ColReader::from_bytes(&store.bytes()).expect("reopen store");
-    assert_eq!(reader.event_count(), rec.len() as u64);
+    assert!(reader.block_count() > 1, "{name}: single-block store");
+    let decoded = reader.decode_all().expect("decode all blocks");
 
-    let sel = reader.select(&Predicate::any()).expect("decode all blocks");
-    assert_eq!(sel.events.len(), rec.len());
+    let col: Vec<_> = decoded.iter().map(|se| (se.at, se.event)).collect();
+    assert_eq!(col, rec, "{name}: decoded stream differs from the recorder");
 
-    // Per-kind counts match the recorder fold.
-    let mut rec_kinds: BTreeMap<EventKind, u64> = BTreeMap::new();
-    for (_, ev) in rec.events() {
-        *rec_kinds.entry(EventKind::of(ev)).or_default() += 1;
-    }
-    let mut col_kinds: BTreeMap<EventKind, u64> = BTreeMap::new();
-    for se in &sel.events {
-        *col_kinds.entry(EventKind::of(&se.event)).or_default() += 1;
-    }
-    assert_eq!(rec_kinds, col_kinds, "{name}: per-kind counts diverge");
+    let kinds = |events: &[(_, _)]| {
+        let mut counts: BTreeMap<EventKind, u64> = BTreeMap::new();
+        for (_, ev) in events {
+            *counts.entry(EventKind::of(ev)).or_default() += 1;
+        }
+        counts
+    };
+    assert_eq!(kinds(&col), kinds(&rec), "{name}: per-kind counts diverge");
 
-    // Every queryable field folds to the bit-identical sum (stream order
-    // is preserved, so even float addition order matches).
-    for field in Field::ALL {
-        let rec_sum: f64 = rec.events().filter_map(|(_, ev)| field.extract(ev)).sum();
-        let col_sum: f64 = sel
-            .events
+    // Stream order is preserved, so even float addition order matches.
+    let cost = |events: &[(_, _)]| -> f64 {
+        events
             .iter()
-            .filter_map(|se| field.extract(&se.event))
-            .sum();
-        assert_eq!(
-            rec_sum.to_bits(),
-            col_sum.to_bits(),
-            "{name}: {} sum diverges ({rec_sum} vs {col_sum})",
-            field.name()
-        );
-    }
-
-    // Time span survives the encoding.
-    let rec_last = rec.events().map(|&(t, _)| t).max().expect("nonempty");
-    let col_last = sel.events.iter().map(|se| se.at).max().expect("nonempty");
-    assert_eq!(rec_last, col_last, "{name}: last event time diverges");
+            .filter_map(|(_, ev)| Field::Cost.extract(ev))
+            .sum()
+    };
+    assert!(cost(&rec) > 0.0, "{name}: no cost in the stream");
+    assert_eq!(
+        cost(&col).to_bits(),
+        cost(&rec).to_bits(),
+        "{name}: cost sum diverges"
+    );
 }
 
 #[test]
-fn jobs_columnar_trace_matches_recorder_fold() {
-    col_roundtrip("jobs");
+fn jobs_columnar_trace_matches_recorder() {
+    col_matches_recorder("jobs");
 }
 
 #[test]
-fn scheduler_columnar_trace_matches_recorder_fold() {
-    col_roundtrip("fig6");
+fn scheduler_columnar_trace_matches_recorder() {
+    col_matches_recorder("fig6");
 }

@@ -2,12 +2,14 @@
 
 use crate::args::Args;
 use spothost_core::prelude::*;
+use spothost_core::telemetry::{event_to_json, Sink};
 use spothost_core::SimRun;
+use spothost_eventstore::{ColReader, ColumnarStore, StoredEvent};
 use spothost_market::gen::TraceSet;
 use spothost_market::io::{parse_market, read_trace_set};
 use spothost_market::prelude::*;
 use spothost_workload::slo;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 pub(crate) fn parse_policy(s: &str) -> Result<BiddingPolicy, String> {
@@ -118,6 +120,15 @@ pub(crate) fn load_traces(
     }
 }
 
+/// Render decoded events as JSONL, one object per line.
+fn write_jsonl(path: &str, events: &[StoredEvent]) -> std::io::Result<()> {
+    let mut out = BufWriter::new(std::fs::File::create(path)?);
+    for se in events {
+        writeln!(out, "{}", event_to_json(se.at, &se.event))?;
+    }
+    out.flush()
+}
+
 pub fn run(args: &Args) -> Result<(), String> {
     let cfg = build_cfg(args)?;
     let policy = cfg.policy;
@@ -192,51 +203,46 @@ pub fn run(args: &Args) -> Result<(), String> {
         );
     }
 
-    // Telemetry extras: re-run the first seed with a sink attached. The
-    // recorded run is bit-identical to the aggregate's first member (the
-    // sink only observes), so the numbers above still describe it.
-    if let Some(path) = args.get("trace") {
+    // Telemetry extras: record the first seed once, into an in-memory
+    // columnar store. The recorded run is bit-identical to the
+    // aggregate's first member (the sink only observes), so the numbers
+    // above still describe it. `--store` writes the store's bytes,
+    // `--trace` renders its decoded events as JSONL, and `--metrics`
+    // folds the same events into histograms.
+    let trace_path = args.get("trace");
+    let store_path = args.get("store");
+    if trace_path.is_some() || store_path.is_some() || args.has("metrics") {
         let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
-        let file = std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-        let mut rec = Recorder::new().with_writer(Box::new(BufWriter::new(file)));
-        SimRun::new(&set, &cfg, seed0).with_sink(&mut rec).run();
-        rec.finish().map_err(|e| format!("--trace {path}: {e}"))?;
-        println!(
-            "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
-            rec.len() as u64 + rec.dropped()
-        );
-        if rec.dropped() > 0 {
+        let store = ColumnarStore::in_memory();
+        SimRun::new(&set, &cfg, seed0).with_sink(store.sink()).run();
+        let bytes = store.bytes();
+        let events = ColReader::from_bytes(&bytes)
+            .and_then(|reader| reader.decode_all())
+            .map_err(|e| e.to_string())?;
+        if let Some(path) = trace_path {
+            write_jsonl(path, &events).map_err(|e| format!("--trace {path}: {e}"))?;
             println!(
-                "WARNING: the in-memory ring buffer evicted the {} oldest events; \
-                 the JSONL file is complete (streamed), but in-process consumers \
-                 of this recorder only see the newest {}.",
-                rec.dropped(),
-                rec.len()
+                "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
+                events.len()
             );
         }
-    }
-    if let Some(path) = args.get("store") {
-        let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
-        let store = spothost_eventstore::ColumnarStore::create(path)
-            .map_err(|e| format!("--store {path}: {e}"))?;
-        {
-            let sink = store.sink();
-            SimRun::new(&set, &cfg, seed0).with_sink(sink).run();
+        if let Some(path) = store_path {
+            std::fs::write(path, &bytes).map_err(|e| format!("--store {path}: {e}"))?;
+            println!(
+                "\nstore:             {} events in {} columnar blocks -> {path} \
+                 (seed {seed0}; aggregate with `spothost query --store {path}`)",
+                store.events_written(),
+                store.blocks_written()
+            );
         }
-        store.finish().map_err(|e| format!("--store {path}: {e}"))?;
-        println!(
-            "\nstore:             {} events in {} columnar blocks -> {path} \
-             (seed {seed0}; aggregate with `spothost query --store {path}`)",
-            store.events_written(),
-            store.blocks_written()
-        );
-    }
-    if args.has("metrics") {
-        let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
-        let mut metrics = Metrics::new();
-        SimRun::new(&set, &cfg, seed0).with_sink(&mut metrics).run();
-        println!("\nevent histograms (seed {seed0}):");
-        print!("{}", metrics.render());
+        if args.has("metrics") {
+            let mut metrics = Metrics::new();
+            for se in &events {
+                metrics.emit(se.at, se.event);
+            }
+            println!("\nevent histograms (seed {seed0}):");
+            print!("{}", metrics.render());
+        }
     }
     if args.has("cache-stats") {
         let s = spothost_market::TraceArena::global().stats();
@@ -320,6 +326,39 @@ mod tests {
             "1",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn trace_and_store_hold_the_first_seed_stream() {
+        let dir = std::env::temp_dir().join(format!("spothost-cli-sim-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("run.jsonl");
+        let store = dir.join("run.col");
+        let (trace_s, store_s) = (trace.to_str().unwrap(), store.to_str().unwrap());
+        let args = [
+            "--days",
+            "14",
+            "--fault-rate",
+            "0.1",
+            "--trace",
+            trace_s,
+            "--store",
+            store_s,
+            "--metrics",
+        ];
+        run(&argv(&args)).unwrap();
+
+        let cfg = build_cfg(&argv(&args)).unwrap();
+        let (_, rec) = run_one_recorded(&cfg, 0, SimDuration::days(14));
+        assert!(!rec.is_empty());
+        let expected: Vec<String> = rec.iter().map(|(t, ev)| event_to_json(*t, ev)).collect();
+        let jsonl = std::fs::read_to_string(&trace).unwrap();
+        assert_eq!(jsonl.lines().collect::<Vec<_>>(), expected);
+
+        let decoded = ColReader::open(&store).unwrap().decode_all().unwrap();
+        let col: Vec<_> = decoded.iter().map(|se| (se.at, se.event)).collect();
+        assert_eq!(col, rec);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

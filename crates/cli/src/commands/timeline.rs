@@ -21,21 +21,10 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let horizon = SimDuration::days(days);
     let set = load_traces(args, &cfg, seed, horizon)?;
-    let mut rec = Recorder::new();
-    let report = SimRun::new(&set, &cfg, seed).with_sink(&mut rec).run();
-    let dropped = rec.dropped();
+    let mut events = Recorder::new();
+    let report = SimRun::new(&set, &cfg, seed).with_sink(&mut events).run();
 
     let end = SimTime::ZERO + horizon;
-    let events = rec.into_events();
-    if dropped > 0 {
-        println!(
-            "WARNING: timeline truncated — the ring buffer evicted the {dropped} oldest \
-             events; the Gantt below starts mid-run (first kept event at {}).\n\
-             Re-run with `spothost simulate --trace out.jsonl` (streams the full \
-             timeline) or record to a columnar store with `--store out.col`.\n",
-            events.first().map(|(t, _)| *t).unwrap_or(SimTime::ZERO)
-        );
-    }
     print!("{}", render_timeline(&events, SimTime::ZERO, end, width));
     println!(
         "\n{} events | cost {:.1}% of on-demand | unavailability {:.5}% | {} migrations",

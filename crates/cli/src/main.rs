@@ -85,12 +85,11 @@ USAGE:
       X in [0, 1]: zone-scoped episodes multiply fault rates, revoke
       every lease in the zone at once, and throttle reacquisition
       (0, the default, is bit-identical to no storms at all).
-      --trace re-runs the first seed with the telemetry recorder and
-      streams the structured event timeline to FILE as JSONL; --store
-      records the same run into FILE as a columnar event store (.col,
-      ~10x smaller; aggregate with `spothost query`); --metrics
-      prints event-derived histograms (outages, migration latencies,
-      lease lengths, $/hour). --cache-stats prints the process-global
+      --store records the first seed's structured event timeline into
+      FILE as a columnar event store (.col; aggregate with `spothost
+      query`); --trace writes the same events to FILE as JSONL, ~10x
+      larger; --metrics prints event-derived histograms (outages,
+      migration latencies, lease lengths, $/hour). --cache-stats prints the process-global
       trace-arena hit/miss and residency counters after the run.
 
   spothost timeline [same scope/policy/mechanism/fault flags as simulate]

@@ -49,6 +49,17 @@ pub enum TerminationReason {
     FailedAllocation,
 }
 
+impl TerminationReason {
+    /// The stable wire name used by every telemetry exporter.
+    pub fn name(self) -> &'static str {
+        match self {
+            TerminationReason::Revoked => "revoked",
+            TerminationReason::Voluntary => "voluntary",
+            TerminationReason::FailedAllocation => "failed-allocation",
+        }
+    }
+}
+
 /// Lifecycle state machine:
 /// `Pending -> Running -> Terminated`, with `Running -> RevocationPending ->
 /// Terminated` for provider-initiated revocation.

@@ -219,7 +219,7 @@ proptest! {
         let mut cost = 0.0f64;
         let mut downtime_ms = 0u64;
         let mut open = [0i64; 4];
-        for (_, ev) in rec.events() {
+        for (_, ev) in &rec {
             match ev {
                 TelemetryEvent::LeaseClosed { cost: c, .. } => cost += c,
                 TelemetryEvent::Outage { start, end } => {

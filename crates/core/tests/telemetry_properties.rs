@@ -71,12 +71,12 @@ fn base_cfg(policy: BiddingPolicy, mechanism: MechanismCombo) -> SchedulerConfig
         .with_mechanism(mechanism)
 }
 
-/// Run `cfg` once with a large-capacity recorder attached.
+/// Run `cfg` once with a recorder attached.
 fn recorded(cfg: &SchedulerConfig, seed: u64, horizon: SimDuration) -> (RunReport, Recorder) {
     let catalog = Catalog::ec2_2015();
     let markets = cfg.candidates();
     let traces = TraceSet::generate(&catalog, &markets, seed, horizon);
-    let mut rec = Recorder::with_capacity(1 << 20);
+    let mut rec = Recorder::new();
     let report = SimRun::new(&traces, cfg, seed).with_sink(&mut rec).run();
     (report, rec)
 }
@@ -95,8 +95,7 @@ proptest! {
         let horizon = SimDuration::days(7);
 
         let plain = run_one(&cfg, seed, horizon);
-        let (report, rec) = recorded(&cfg, seed, horizon);
-        prop_assert_eq!(rec.dropped(), 0, "recorder capacity exceeded");
+        let (report, events) = recorded(&cfg, seed, horizon);
 
         // (a) Observation is free: identical report with and without
         // the recorder attached.
@@ -104,8 +103,7 @@ proptest! {
 
         // (b) Determinism: a second recorded run yields the same stream.
         let (_, rec2) = recorded(&cfg, seed, horizon);
-        let events = rec.into_events();
-        prop_assert_eq!(&events, &rec2.into_events());
+        prop_assert_eq!(&events, &rec2);
 
         // (c) Monotone non-decreasing timestamps.
         for w in events.windows(2) {

@@ -3,13 +3,15 @@
 //! Columnar telemetry storage, an aggregation query layer, and Perfetto
 //! export for fleet-scale `spothost` runs.
 //!
-//! JSONL traces (`Recorder` + `export::event_to_json`) are perfect for a
-//! single run but melt at fleet scale: a 50-VM, 60-day fleet simulation
-//! emits millions of events, and a text row per event is ~100 bytes of
-//! repeated key names. This crate stores the same stream losslessly in
-//! roughly an order of magnitude less space, and — more importantly —
-//! answers aggregate questions (p99 time-to-reacquire by zone, cost sums
-//! by market) *without decoding most of the file*.
+//! The `.col` store is the one format the program persists events in. A
+//! text row per event is ~100 bytes of repeated key names, and a 50-VM,
+//! 60-day fleet simulation emits millions of events. This crate stores
+//! the stream losslessly in roughly an order of magnitude less space,
+//! and — more importantly — answers aggregate questions (p99
+//! time-to-reacquire by zone, cost sums by market) *without decoding
+//! most of the file*. JSONL (`spothost_telemetry::event_to_json`) is
+//! only a rendering of decoded events, as `spothost simulate --trace`
+//! does.
 //!
 //! ## Architecture
 //!

@@ -4,9 +4,9 @@
 //!
 //! The store is single-threaded by design — the simulators step VMs
 //! sequentially — so sinks share the store through `Rc<RefCell<..>>`.
-//! I/O errors are latched (like `Recorder`): emission never panics or
-//! returns errors into the hot path; [`ColumnarStore::finish`] reports
-//! the first failure at the end.
+//! I/O errors are latched: emission never panics or returns errors into
+//! the hot path; [`ColumnarStore::finish`] reports the first failure at
+//! the end.
 
 use crate::block;
 use spothost_market::time::SimTime;

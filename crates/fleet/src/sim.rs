@@ -2,8 +2,8 @@
 //! shared event queue, fronted by a least-loaded balancer and a reactive
 //! autoscaler (ROADMAP item 1).
 //!
-//! Where [`crate::pool`] hosts a *fixed* tenant population, this module
-//! simulates one *service* whose capacity breathes with demand:
+//! This module simulates one *service* whose capacity breathes with
+//! demand:
 //!
 //! * a [`TrafficModel`] (diurnal + flash crowds) produces the offered
 //!   concurrent-user population at every instant;

@@ -10,19 +10,22 @@
 //! charge), fault injections, backoff attempts, and state-machine
 //! transitions.
 //!
-//! Three sinks cover the use cases:
+//! Three sinks cover the in-process use cases:
 //!
 //! * [`NullSink`] — the default. `ENABLED = false` and an empty inline
 //!   `emit` let the compiler delete every emission site, so an
 //!   uninstrumented run is bit-identical to (and as fast as) a build
 //!   without telemetry at all.
-//! * [`Recorder`] — a bounded ring buffer of timestamped events with
-//!   JSONL/CSV export ([`export`]) and an optional streaming writer for
-//!   timelines longer than the buffer.
+//! * [`Recorder`] — every timestamped event in memory, in emission order
+//!   (a plain `Vec`), for replay checks and the ASCII [`render_timeline`].
 //! * [`Metrics`] — fixed-bucket histograms
 //!   ([`spothost_analysis::FixedHistogram`]) over the event stream:
 //!   downtime durations, migration latencies, lease lengths,
 //!   time-to-reacquire, per-hour lease cost.
+//!
+//! Persisted telemetry has one format: the columnar `.col` store of
+//! `spothost-eventstore`, whose `ColumnarSink` is a [`Sink`] too. JSONL
+//! ([`event_to_json`]) is only a rendering of decoded events.
 //!
 //! Two guarantees the rest of the workspace depends on (see DESIGN.md
 //! "Observability"):
@@ -41,15 +44,13 @@
 pub mod event;
 pub mod export;
 pub mod metrics;
-pub mod recorder;
 pub mod sink;
 pub mod timeline;
 
 pub use event::{DenialReason, MigrationPhase, SchedulerState, TelemetryEvent};
-pub use export::{event_to_csv_row, event_to_json, CSV_HEADER};
+pub use export::event_to_json;
 pub use metrics::Metrics;
-pub use recorder::Recorder;
-pub use sink::{NullSink, NullSinkFactory, Sink, SinkFactory};
+pub use sink::{NullSink, NullSinkFactory, Recorder, Sink, SinkFactory};
 pub use spothost_faults::FaultKind;
 pub use timeline::render_timeline;
 

@@ -7,6 +7,7 @@
 //! same machine code it was before telemetry existed.
 
 use crate::event::TelemetryEvent;
+use crate::TimedEvent;
 use spothost_market::time::SimTime;
 
 /// Receives the structured event stream of one run.
@@ -29,6 +30,17 @@ impl Sink for NullSink {
 
     #[inline(always)]
     fn emit(&mut self, _at: SimTime, _event: TelemetryEvent) {}
+}
+
+/// The recording sink: every event of a run, in emission order.
+pub type Recorder = Vec<TimedEvent>;
+
+impl Sink for Vec<TimedEvent> {
+    const ENABLED: bool = true;
+
+    fn emit(&mut self, at: SimTime, event: TelemetryEvent) {
+        self.push((at, event));
+    }
 }
 
 /// Borrowed sinks forward, so a caller can keep ownership across a run:
