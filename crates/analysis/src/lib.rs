@@ -10,6 +10,7 @@
 
 pub mod hist;
 pub mod mc;
+pub mod out;
 pub mod series;
 pub mod stats;
 pub mod table;

@@ -12,6 +12,7 @@
 //!                          # residency to 64 traces, ~50 MB)
 //! ```
 
+use spothost_analysis::outln;
 use spothost_bench::experiments;
 use spothost_bench::ExpSettings;
 use std::time::Instant;
@@ -58,7 +59,7 @@ fn main() {
             }
             "--list" => {
                 for (name, desc) in experiments::ALL {
-                    println!("{name:<12} {desc}");
+                    outln!("{name:<12} {desc}");
                 }
                 return;
             }
@@ -90,7 +91,7 @@ fn main() {
         ExpSettings::full()
     };
     spothost_market::TraceArena::global().set_trace_capacity(trace_cap);
-    println!(
+    outln!(
         "spothost repro — seeds {} x horizon {} ({} mode)\n",
         settings.seeds,
         settings.horizon,
@@ -102,14 +103,14 @@ fn main() {
         let start = Instant::now();
         match experiments::run_with_csv(name, &settings) {
             Some((report, artifacts)) => {
-                println!("{}", "=".repeat(78));
-                println!("{report}");
+                outln!("{}", "=".repeat(78));
+                outln!("{report}");
                 if let Some(dir) = &csv_dir {
                     std::fs::create_dir_all(dir).expect("create csv dir");
                     for (file, contents) in &artifacts {
                         let path = std::path::Path::new(dir).join(file);
                         std::fs::write(&path, contents).expect("write csv");
-                        println!("[wrote {}]", path.display());
+                        outln!("[wrote {}]", path.display());
                     }
                 }
                 if let Some(dir) = &trace_dir {
@@ -120,7 +121,7 @@ fn main() {
                             .expect("create columnar store");
                         rep.record(&settings, &mut store.sink());
                         store.finish().expect("flush columnar store");
-                        println!(
+                        outln!(
                             "[wrote {} ({} events, {} blocks)]",
                             path.display(),
                             store.events_written(),
@@ -128,7 +129,7 @@ fn main() {
                         );
                     }
                 }
-                println!("[{name} done in {:.1}s]\n", start.elapsed().as_secs_f64());
+                outln!("[{name} done in {:.1}s]\n", start.elapsed().as_secs_f64());
             }
             None => {
                 eprintln!("unknown experiment '{name}' (try --list)");
@@ -136,5 +137,5 @@ fn main() {
             }
         }
     }
-    println!("total: {:.1}s", total.elapsed().as_secs_f64());
+    outln!("total: {:.1}s", total.elapsed().as_secs_f64());
 }

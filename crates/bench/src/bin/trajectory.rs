@@ -14,6 +14,7 @@
 //!                                   # last committed quick entry
 //! ```
 
+use spothost_analysis::outln;
 use spothost_bench::{experiments, ExpSettings};
 use std::time::Instant;
 
@@ -282,7 +283,7 @@ fn main() {
             std::process::exit(2);
         };
         let limit = baseline * REGRESSION_FACTOR;
-        println!(
+        outln!(
             "trajectory --check ({mode}): wall {wall_s:.2}s vs baseline {baseline:.2}s (limit {limit:.2}s)"
         );
         if wall_s > limit {
@@ -294,7 +295,7 @@ fn main() {
         }
         if let Some(fleet_base) = last_field(&out, mode, "fleet_wall_s") {
             let fleet_limit = fleet_base * REGRESSION_FACTOR;
-            println!(
+            outln!(
                 "trajectory --check ({mode}): fleet {fleet_s:.2}s vs baseline {fleet_base:.2}s (limit {fleet_limit:.2}s)"
             );
             if fleet_s > fleet_limit {
@@ -307,7 +308,7 @@ fn main() {
         }
         if let Some(jobs_base) = last_field(&out, mode, "jobs_wall_s") {
             let jobs_limit = jobs_base * REGRESSION_FACTOR;
-            println!(
+            outln!(
                 "trajectory --check ({mode}): jobs {jobs_s:.2}s vs baseline {jobs_base:.2}s (limit {jobs_limit:.2}s)"
             );
             if jobs_s > jobs_limit {
@@ -321,14 +322,14 @@ fn main() {
         // Columnar-sink overhead is gated absolutely (not vs baseline):
         // instrumentation must stay cheap relative to the simulation.
         let store_pct = bench_store_overhead_pct();
-        println!("trajectory --check ({mode}): columnar store overhead {store_pct:.1}% (limit {STORE_OVERHEAD_LIMIT_PCT:.0}%)");
+        outln!("trajectory --check ({mode}): columnar store overhead {store_pct:.1}% (limit {STORE_OVERHEAD_LIMIT_PCT:.0}%)");
         if store_pct > STORE_OVERHEAD_LIMIT_PCT {
             eprintln!(
                 "FAIL: ColumnarStore fleet instrumentation overhead {store_pct:.1}% > {STORE_OVERHEAD_LIMIT_PCT:.0}%"
             );
             std::process::exit(1);
         }
-        println!("OK: within budget");
+        outln!("OK: within budget");
         return;
     }
 
@@ -344,6 +345,6 @@ fn main() {
         &label, mode, wall_s, fleet_s, jobs_s, rss_kb, bill_ns, grid_ns, store_pct,
     );
     append_entry(&out, &entry);
-    println!("{entry}");
-    println!("[appended to {out}]");
+    outln!("{entry}");
+    outln!("[appended to {out}]");
 }

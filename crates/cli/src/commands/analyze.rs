@@ -1,6 +1,7 @@
 //! `spothost analyze` — statistics over a trace directory.
 
 use crate::args::Args;
+use spothost_analysis::outln;
 use spothost_analysis::table::TextTable;
 use spothost_market::io::read_trace_set;
 use spothost_market::prelude::*;
@@ -15,7 +16,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let catalog = Catalog::ec2_2015();
     let set = read_trace_set(&catalog, Path::new(dir)).map_err(|e| e.to_string())?;
 
-    println!(
+    outln!(
         "{} markets over {:.1} days\n",
         set.len(),
         set.horizon().as_days_f64()
@@ -39,7 +40,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             format!("{:.2}%", trace.fraction_above(pon) * 100.0),
         ]);
     }
-    println!("{}", t.render());
+    outln!("{}", t.render());
 
     // Correlations where we have whole zones.
     let dt = SimDuration::minutes(sample_mins);
@@ -49,7 +50,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             .filter(|m| set.trace(*m).is_some())
             .collect();
         if markets.len() >= 2 {
-            println!(
+            outln!(
                 "avg intra-zone correlation {zone}: {:.3}",
                 avg_intra_zone_correlation(&set, zone)
             );
@@ -60,7 +61,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     if loaded.len() >= 2 {
         let (ma, ta) = loaded[0];
         let (mb, tb) = loaded[1];
-        println!(
+        outln!(
             "correlation {ma} vs {mb}: {:.3}",
             trace_correlation(ta, tb, dt)
         );

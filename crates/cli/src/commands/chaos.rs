@@ -19,6 +19,7 @@
 //! in the same order regardless of how many trials the budget admitted.
 
 use crate::args::Args;
+use spothost_analysis::outln;
 use spothost_core::prelude::*;
 use spothost_market::time::SimDuration;
 use spothost_market::types::{InstanceType, MarketId, Zone};
@@ -171,7 +172,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let days = args.get_u64("days", 7)?;
     let horizon = SimDuration::days(days);
 
-    println!(
+    outln!(
         "spothost chaos — storm/fault grid, {budget_s:.0}s budget, \
          {days}-day runs, seed {seed}"
     );
@@ -216,7 +217,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
         trials += 1;
     }
-    println!(
+    outln!(
         "PASS — {trials} chaotic configurations, {checks} invariant checks, \
          {:.1}s",
         start.elapsed().as_secs_f64()

@@ -10,6 +10,7 @@
 
 use crate::args::Args;
 use crate::commands::simulate::{parse_mechanism, parse_policy};
+use spothost_analysis::{out, outln};
 use spothost_faults::StormConfig;
 use spothost_fleet::{run_fleet_sim, run_fleet_sim_with, FleetSample, FleetSimConfig};
 use spothost_market::time::SimDuration;
@@ -137,13 +138,13 @@ pub fn run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("--store {path}: {e}"))?;
             let report = run_fleet_sim_with(&cfg, seed, horizon, store.clone());
             store.finish().map_err(|e| format!("--store {path}: {e}"))?;
-            println!(
+            outln!(
                 "store: {} events from {} VM streams in {} blocks -> {path}",
                 store.events_written(),
                 report.spawned_vms,
                 store.blocks_written()
             );
-            println!("       (per-VM queries: `spothost query --store {path} --vm N`)\n");
+            outln!("       (per-VM queries: `spothost query --store {path} --vm N`)\n");
             report
         }
         None => run_fleet_sim(&cfg, seed, horizon),
@@ -156,13 +157,13 @@ pub fn run(args: &Args) -> Result<(), String> {
         .map(|s: &FleetSample| 1_000.0 * s.p99_response_s)
         .collect();
     let days_f = horizon.as_hours_f64() / 24.0;
-    print!("{}", chart("fleet size", "VMs", &sizes, width, 8));
-    print!("{}", day_axis(width.min(sizes.len()), days_f));
-    println!();
-    print!("{}", chart("p99 response", "ms", &p99_ms, width, 6));
-    print!("{}", day_axis(width.min(p99_ms.len()), days_f));
-    println!();
-    print!("{}", report.render());
+    out!("{}", chart("fleet size", "VMs", &sizes, width, 8));
+    out!("{}", day_axis(width.min(sizes.len()), days_f));
+    outln!();
+    out!("{}", chart("p99 response", "ms", &p99_ms, width, 6));
+    out!("{}", day_axis(width.min(p99_ms.len()), days_f));
+    outln!();
+    out!("{}", report.render());
     Ok(())
 }
 

@@ -1,6 +1,7 @@
 //! `spothost gen-traces` — generate calibrated traces and export CSV.
 
 use crate::args::Args;
+use spothost_analysis::outln;
 use spothost_market::io::write_trace_set;
 use spothost_market::prelude::*;
 use std::path::Path;
@@ -22,7 +23,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let catalog = Catalog::ec2_2015();
     let set = TraceSet::generate(&catalog, &markets, seed, SimDuration::days(days));
     write_trace_set(&set, Path::new(out)).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} traces ({} days, seed {}) to {}/",
         set.len(),
         days,
@@ -30,7 +31,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         out
     );
     for (market, trace) in set.iter() {
-        println!(
+        outln!(
             "  {:<22} {:>6} price changes, mean ${:.4}/h",
             market.to_string(),
             trace.num_changes(),

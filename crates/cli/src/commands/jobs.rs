@@ -11,6 +11,7 @@
 //! `spothost query`.
 
 use crate::args::Args;
+use spothost_analysis::outln;
 use spothost_core::telemetry::NullSink;
 use spothost_faults::{FaultConfig, StormConfig};
 use spothost_jobs::{run_jobs_on, JobPolicy, JobsConfig, JobsRunResult, JobsScratch};
@@ -64,12 +65,12 @@ fn print_worst_outcomes(run: &JobsRunResult, n: usize) {
             .partial_cmp(&(a.missed, a.cost))
             .expect("job costs are finite")
     });
-    println!(
+    outln!(
         "  worst {} jobs (missed first, then by cost):",
         n.min(worst.len())
     );
     for o in worst.iter().take(n) {
-        println!(
+        outln!(
             "    arrival {:>7.1}h runtime {:>5.1}h deadline {:>7.1}h -> {} at {:>7.1}h, \
              ${:.3}, {} revocations, {} checkpoints{}{}",
             o.spec.arrival.as_hours_f64(),
@@ -109,9 +110,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         })
         .transpose()?;
 
-    println!(
+    outln!(
         "batch jobs on {} over {days} simulated days (seed {seed}, {} workers):\n",
-        base.market, base.workers
+        base.market,
+        base.workers
     );
     for policy in policies {
         let cfg = JobsConfig {
@@ -127,14 +129,14 @@ pub fn run(args: &Args) -> Result<(), String> {
             }
             None => run_jobs_on(&cfg, &traces, seed, &mut NullSink, &mut scratch),
         };
-        println!("{}", run.report);
+        outln!("{}", run.report);
         if outcomes {
             print_worst_outcomes(&run, 5);
         }
     }
     if let Some((sink, path)) = store {
         sink.finish().map_err(|e| format!("--store {path}: {e}"))?;
-        println!(
+        outln!(
             "store: {} events in {} blocks -> {path} (aggregate with `spothost query`)",
             sink.events_written(),
             sink.blocks_written()

@@ -1,11 +1,12 @@
 //! `spothost markets` — the price book and calibration summary.
 
+use spothost_analysis::outln;
 use spothost_analysis::table::TextTable;
 use spothost_market::prelude::*;
 
 pub fn run() -> Result<(), String> {
     let catalog = Catalog::ec2_2015();
-    println!("spot markets (2015 EC2 calibration)\n");
+    outln!("spot markets (2015 EC2 calibration)\n");
     let mut t = TextTable::new([
         "market",
         "on-demand $/h",
@@ -25,8 +26,8 @@ pub fn run() -> Result<(), String> {
             model.spike_duration_mean.to_string(),
         ]);
     }
-    println!("{}", t.render());
-    println!(
+    outln!("{}", t.render());
+    outln!(
         "bid cap: {}x on-demand (Amazon's 2015 limit)",
         catalog.max_bid_mult()
     );

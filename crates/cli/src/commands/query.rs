@@ -8,6 +8,7 @@
 //! `--perfetto` exports the selection as a Chrome/Perfetto trace instead.
 
 use crate::args::Args;
+use spothost_analysis::{out, outln};
 use spothost_eventstore::query::{
     group_counts, grouped_values, histogram_of, percentile_of, Field, GroupBy, Predicate,
 };
@@ -91,7 +92,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let sel = reader.select(&pred).map_err(|e| format!("{path}: {e}"))?;
     let vms = reader.vms();
     let tagged = vms.iter().filter(|v| v.is_some()).count();
-    println!(
+    outln!(
         "store:      {path} ({} blocks, {} events, {})",
         reader.block_count(),
         reader.event_count(),
@@ -101,7 +102,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             "1 untagged stream".to_string()
         }
     );
-    println!(
+    outln!(
         "selection:  {} events; decoded {}/{} blocks (pruned {})",
         sel.events.len(),
         sel.blocks_decoded,
@@ -110,9 +111,9 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     if args.has("stats") {
-        println!("\nblocks (vm, events, time span, kinds bitmap):");
+        outln!("\nblocks (vm, events, time span, kinds bitmap):");
         for meta in reader.metas() {
-            println!(
+            outln!(
                 "  {:>6}  {:>6} ev  [{:>10.3} h, {:>10.3} h]  kinds {:#08x}",
                 meta.vm.map_or("-".to_string(), |v| format!("vm{v}")),
                 meta.count,
@@ -126,7 +127,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     if let Some(out) = args.get("perfetto") {
         let json = perfetto::to_perfetto_json(&sel.events);
         std::fs::write(out, &json).map_err(|e| format!("--perfetto {out}: {e}"))?;
-        println!(
+        outln!(
             "perfetto:   {} events -> {out} ({} bytes; open in ui.perfetto.dev)",
             sel.events.len(),
             json.len()
@@ -136,9 +137,9 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     match agg {
         "count" => {
-            println!("\ncount by {group:?}:");
+            outln!("\ncount by {group:?}:");
             for (key, n) in group_counts(&sel.events, group) {
-                println!("  {key:<24} {n}");
+                outln!("  {key:<24} {n}");
             }
         }
         "sum" | "mean" | "p50" | "p90" | "p99" | "hist" => {
@@ -150,23 +151,23 @@ pub fn run(args: &Args) -> Result<(), String> {
             })?;
             let groups = grouped_values(&sel.events, field, group);
             if groups.is_empty() {
-                println!("\nno events in the selection carry field '{field_name}'");
+                outln!("\nno events in the selection carry field '{field_name}'");
                 return Ok(());
             }
-            println!("\n{agg} of {field_name} by {group:?}:");
+            outln!("\n{agg} of {field_name} by {group:?}:");
             for (key, values) in &groups {
                 match agg {
-                    "sum" => println!("  {key:<24} {:.6}", values.iter().sum::<f64>()),
-                    "mean" => println!(
+                    "sum" => outln!("  {key:<24} {:.6}", values.iter().sum::<f64>()),
+                    "mean" => outln!(
                         "  {key:<24} {:.6}",
                         values.iter().sum::<f64>() / values.len() as f64
                     ),
-                    "p50" => println!("  {key:<24} {:.6}", percentile_of(values, 50.0)),
-                    "p90" => println!("  {key:<24} {:.6}", percentile_of(values, 90.0)),
-                    "p99" => println!("  {key:<24} {:.6}", percentile_of(values, 99.0)),
+                    "p50" => outln!("  {key:<24} {:.6}", percentile_of(values, 50.0)),
+                    "p90" => outln!("  {key:<24} {:.6}", percentile_of(values, 90.0)),
+                    "p99" => outln!("  {key:<24} {:.6}", percentile_of(values, 99.0)),
                     "hist" => {
-                        println!("  {key} ({} samples):", values.len());
-                        print!("{}", histogram_of(values, buckets).render(40));
+                        outln!("  {key} ({} samples):", values.len());
+                        out!("{}", histogram_of(values, buckets).render(40));
                     }
                     _ => unreachable!("matched above"),
                 }

@@ -1,6 +1,7 @@
 //! `spothost simulate` — run the cloud scheduler and report.
 
 use crate::args::Args;
+use spothost_analysis::{out, outln};
 use spothost_core::prelude::*;
 use spothost_core::telemetry::{event_to_json, Sink};
 use spothost_core::SimRun;
@@ -138,45 +139,47 @@ pub fn run(args: &Args) -> Result<(), String> {
     let stability = args.get_f64("stability", 0.0)?;
     let fault_rate = args.get_f64("fault-rate", 0.0)?;
     let storm_intensity = args.get_f64("storm-intensity", 0.0)?;
+    let horizon = SimDuration::days(days);
 
-    let agg = match args.get("traces") {
-        Some(dir) => {
-            // Imported history: single deterministic run against it.
-            let catalog = Catalog::ec2_2015();
-            let set = read_trace_set(&catalog, Path::new(dir)).map_err(|e| e.to_string())?;
-            let report = SimRun::new(&set, &cfg, seed0).run();
-            AggregateReport::of(vec![report])
-        }
-        None => run_many(&cfg, seed0, seeds, SimDuration::days(days)),
+    // Imported history is read once: the aggregate's single run and the
+    // telemetry re-run below both use this set.
+    let imported = match args.get("traces") {
+        Some(_) => Some(load_traces(args, &cfg, seed0, horizon)?),
+        None => None,
+    };
+    let agg = match &imported {
+        // Imported history: single deterministic run against it.
+        Some(set) => AggregateReport::of(vec![SimRun::new(set, &cfg, seed0).run()]),
+        None => run_many(&cfg, seed0, seeds, horizon),
     };
 
-    println!("scope:      {}", cfg.scope.label());
-    println!(
+    outln!("scope:      {}", cfg.scope.label());
+    outln!(
         "policy:     {policy}   mechanism: {mechanism}",
         mechanism = cfg.mechanism
     );
     if stability > 0.0 {
-        println!("stability:  weight {stability}");
+        outln!("stability:  weight {stability}");
     }
     if cfg.faults.enabled() {
-        println!("faults:     uniform rate {fault_rate}");
+        outln!("faults:     uniform rate {fault_rate}");
     }
     if cfg.storms.enabled() {
-        println!("storms:     intensity {storm_intensity}");
+        outln!("storms:     intensity {storm_intensity}");
     }
-    println!("runs:       {} x {} days\n", agg.runs.len(), days);
-    println!(
+    outln!("runs:       {} x {} days\n", agg.runs.len(), days);
+    outln!(
         "normalized cost:   {:.1}% of on-demand  (min {:.1}%, max {:.1}%)",
         agg.normalized_cost_pct(),
         agg.normalized_cost.min * 100.0,
         agg.normalized_cost.max * 100.0
     );
-    println!(
+    outln!(
         "unavailability:    {:.5}%  (~{:.1} s downtime/month)",
         agg.unavailability_pct(),
         slo::downtime_per_month(agg.unavailability.mean)
     );
-    println!(
+    outln!(
         "four nines:        {}",
         if slo::meets_nines(agg.unavailability.mean, 4) {
             "met"
@@ -184,19 +187,20 @@ pub fn run(args: &Args) -> Result<(), String> {
             "MISSED"
         }
     );
-    println!(
+    outln!(
         "migrations/hour:   {:.4} forced, {:.4} planned+reverse",
-        agg.forced_per_hour.mean, agg.planned_reverse_per_hour.mean
+        agg.forced_per_hour.mean,
+        agg.planned_reverse_per_hour.mean
     );
-    println!("time on spot:      {:.1}%", agg.spot_fraction.mean * 100.0);
+    outln!("time on spot:      {:.1}%", agg.spot_fraction.mean * 100.0);
     if cfg.faults.enabled() {
         let sum = |f: fn(&RunReport) -> u32| agg.runs.iter().map(f).sum::<u32>();
-        println!(
+        outln!(
             "injected faults:   {} refused requests, {} unwarned revocations,",
             sum(|r| r.request_faults),
             sum(|r| r.unwarned_revocations)
         );
-        println!(
+        outln!(
             "                   {} checkpoint failures, {} live-migration aborts",
             sum(|r| r.ckpt_faults),
             sum(|r| r.live_aborts)
@@ -212,7 +216,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     let trace_path = args.get("trace");
     let store_path = args.get("store");
     if trace_path.is_some() || store_path.is_some() || args.has("metrics") {
-        let set = load_traces(args, &cfg, seed0, SimDuration::days(days))?;
+        let set = match imported {
+            Some(set) => set,
+            None => load_traces(args, &cfg, seed0, horizon)?,
+        };
         let store = ColumnarStore::in_memory();
         SimRun::new(&set, &cfg, seed0).with_sink(store.sink()).run();
         let bytes = store.bytes();
@@ -221,14 +228,14 @@ pub fn run(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         if let Some(path) = trace_path {
             write_jsonl(path, &events).map_err(|e| format!("--trace {path}: {e}"))?;
-            println!(
+            outln!(
                 "\ntrace:             {} events -> {path} (seed {seed0}, JSONL)",
                 events.len()
             );
         }
         if let Some(path) = store_path {
             std::fs::write(path, &bytes).map_err(|e| format!("--store {path}: {e}"))?;
-            println!(
+            outln!(
                 "\nstore:             {} events in {} columnar blocks -> {path} \
                  (seed {seed0}; aggregate with `spothost query --store {path}`)",
                 store.events_written(),
@@ -240,14 +247,14 @@ pub fn run(args: &Args) -> Result<(), String> {
             for se in &events {
                 metrics.emit(se.at, se.event);
             }
-            println!("\nevent histograms (seed {seed0}):");
-            print!("{}", metrics.render());
+            outln!("\nevent histograms (seed {seed0}):");
+            out!("{}", metrics.render());
         }
     }
     if args.has("cache-stats") {
         let s = spothost_market::TraceArena::global().stats();
-        println!("\ntrace arena (process-global cache):");
-        println!(
+        outln!("\ntrace arena (process-global cache):");
+        outln!(
             "  traces:   {} hits, {} misses ({} resident, {:.1} MB, {} evicted, cap {})",
             s.trace_hits,
             s.trace_misses,
@@ -260,9 +267,10 @@ pub fn run(args: &Args) -> Result<(), String> {
                 s.trace_capacity.to_string()
             }
         );
-        println!(
+        outln!(
             "  factors:  {} hits, {} misses",
-            s.factor_hits, s.factor_misses
+            s.factor_hits,
+            s.factor_misses
         );
     }
     Ok(())

@@ -4,6 +4,7 @@
 
 use crate::args::Args;
 use crate::commands::simulate::{build_cfg, load_traces};
+use spothost_analysis::{out, outln};
 use spothost_core::prelude::*;
 use spothost_core::telemetry::render_timeline;
 use spothost_core::SimRun;
@@ -25,8 +26,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     let report = SimRun::new(&set, &cfg, seed).with_sink(&mut events).run();
 
     let end = SimTime::ZERO + horizon;
-    print!("{}", render_timeline(&events, SimTime::ZERO, end, width));
-    println!(
+    out!("{}", render_timeline(&events, SimTime::ZERO, end, width));
+    outln!(
         "\n{} events | cost {:.1}% of on-demand | unavailability {:.5}% | {} migrations",
         events.len(),
         report.normalized_cost_pct(),

@@ -16,6 +16,8 @@
 mod args;
 mod commands;
 
+use spothost_analysis::outln;
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match run(&argv) {
@@ -52,7 +54,7 @@ fn run(argv: &[String]) -> Result<(), String> {
 }
 
 fn print_usage() {
-    println!(
+    outln!(
         "spothost — always-on services on cloud spot markets (HPDC'15 reproduction)
 
 USAGE:

@@ -161,8 +161,14 @@ impl<'t> CloudProvider<'t> {
     ///
     /// [`StormConfig::none`]: spothost_faults::StormConfig::none
     pub fn with_storms(mut self, schedule: StormSchedule) -> Self {
-        self.storms = Some(schedule);
+        self.set_storms(schedule);
         self
+    }
+
+    /// [`CloudProvider::with_storms`] on a provider already in use; call
+    /// it before the first request.
+    pub fn set_storms(&mut self, schedule: StormSchedule) {
+        self.storms = Some(schedule);
     }
 
     /// On-demand servers currently counted against the storm quota.

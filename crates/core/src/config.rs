@@ -2,7 +2,8 @@
 
 use crate::policy::BiddingPolicy;
 use crate::strategy::MarketScope;
-use spothost_faults::{FaultConfig, StormConfig};
+use spothost_faults::{FaultConfig, StormConfig, StormSchedule};
+use spothost_market::gen::{derive_seed, TraceSet};
 use spothost_market::time::SimDuration;
 use spothost_market::types::MarketId;
 use spothost_virt::{MechanismCombo, ParamRegime, VirtParams};
@@ -173,6 +174,21 @@ impl SchedulerConfig {
     pub fn with_storm_seed(mut self, seed: u64) -> Self {
         self.storm_seed = Some(seed);
         self
+    }
+
+    /// The storm schedule a run with run seed `seed` observes over
+    /// `traces`: seeded from `storm_seed` when pinned, else from `seed`.
+    /// `None` when storms are disabled, so an effect-free config builds
+    /// nothing and advances no stream.
+    pub fn storm_schedule(&self, seed: u64, traces: &TraceSet) -> Option<StormSchedule> {
+        self.storms.enabled().then(|| {
+            StormSchedule::new(
+                self.storms.clone(),
+                derive_seed(self.storm_seed.unwrap_or(seed), "storms", 0),
+                traces.horizon(),
+                traces.spike_spans(),
+            )
+        })
     }
 
     /// Tune the stable-uptime interval after which the reacquire backoff

@@ -244,8 +244,15 @@ pub struct SimRun<'t, S: Sink = NullSink> {
     /// Correlated-failure storm schedule (a clone of the provider's: the
     /// episode timelines are identical by value, the scheduler uses only
     /// the jitter stream and the provider only the crunch stream, so the
-    /// clones never diverge). `None` unless storms are configured.
+    /// clones never diverge). Built by [`SimRun::begin`] unless injected
+    /// with [`SimRun::with_storm_schedule`]; `None` unless storms are
+    /// configured.
     storms: Option<StormSchedule>,
+    /// The run seed, kept for the storm schedule `begin` builds.
+    seed: u64,
+    /// Set once [`SimRun::step_until`] has consumed an event at or past
+    /// the horizon; later calls return `false` without popping anything.
+    ended: bool,
     /// Per-zone end of the storm episode in which a capacity fault was
     /// last observed. Market ranking shuns a storming zone only while
     /// `now` is inside this window: a storm becomes evidence against its
@@ -340,7 +347,7 @@ impl<'t> SimRun<'t, NullSink> {
         // seeds keep the two stream families independent. With faults
         // disabled neither side holds a plan, so the zero-fault run is
         // bit-identical to a build without any of this.
-        let (mut provider, faults) = if cfg.faults.enabled() {
+        let (provider, faults) = if cfg.faults.enabled() {
             let provider_plan =
                 FaultPlan::new(cfg.faults.clone(), derive_seed(seed, "faults-provider", 0));
             let mech_plan =
@@ -352,57 +359,11 @@ impl<'t> SimRun<'t, NullSink> {
         } else {
             (CloudProvider::new(traces, seed), None)
         };
-        // Storms ride their own seed-derived streams, independent of the
-        // fault streams above; a fleet overrides the base seed so every
-        // service in it observes the same episode timeline. An effect-free
-        // storm config builds no schedule at all — bit-identical to a
-        // build without any of this.
-        let storms = if cfg.storms.enabled() {
-            let base = cfg.storm_seed.unwrap_or(seed);
-            let schedule = StormSchedule::new(
-                cfg.storms.clone(),
-                derive_seed(base, "storms", 0),
-                traces.horizon(),
-                traces.spike_spans(),
-            );
-            provider = provider.with_storms(schedule.clone());
-            Some(schedule)
-        } else {
-            None
-        };
         let SimScratch {
             mut queue,
             mut forecasters,
         } = scratch;
         queue.reset();
-        // Storm episode edges as telemetry events: the storm's behavioural
-        // effects flow through provider gates and schedule queries, so
-        // these extra queue entries change nothing but the event stream
-        // (FIFO tie-breaking keeps same-time ordering of other events).
-        if let Some(s) = &storms {
-            for zone in cfg.scope.zones() {
-                for ep in s.episodes(zone) {
-                    if ep.start < SimTime::ZERO + traces.horizon() {
-                        queue.push(
-                            ep.start,
-                            Ev::StormEdge {
-                                zone,
-                                started: true,
-                            },
-                        );
-                    }
-                    if ep.end < SimTime::ZERO + traces.horizon() {
-                        queue.push(
-                            ep.end,
-                            Ev::StormEdge {
-                                zone,
-                                started: false,
-                            },
-                        );
-                    }
-                }
-            }
-        }
         let forecast = match cfg.policy {
             BiddingPolicy::Adaptive { risk_budget } => Some(ForecastState {
                 risk_budget,
@@ -440,7 +401,9 @@ impl<'t> SimRun<'t, NullSink> {
             candidates,
             baseline_rate,
             faults,
-            storms,
+            storms: None,
+            seed,
+            ended: false,
             zone_shunned_until: [SimTime::ZERO; 4],
             acquire_attempts: 0,
             active_since: None,
@@ -471,6 +434,8 @@ impl<'t, S: Sink> SimRun<'t, S> {
             baseline_rate: self.baseline_rate,
             faults: self.faults,
             storms: self.storms,
+            seed: self.seed,
+            ended: self.ended,
             zone_shunned_until: self.zone_shunned_until,
             acquire_attempts: self.acquire_attempts,
             active_since: self.active_since,
@@ -478,6 +443,20 @@ impl<'t, S: Sink> SimRun<'t, S> {
             forecast: self.forecast,
             sink,
         }
+    }
+
+    /// Run against `schedule` instead of building a storm schedule in
+    /// [`SimRun::begin`]. It must be the schedule `begin` would build
+    /// (same storm config, storm seed, horizon and spike spans) with its
+    /// query streams unused; a fleet builds it once and hands every VM a
+    /// clone. Panics if the run's config has storms disabled.
+    pub fn with_storm_schedule(mut self, schedule: StormSchedule) -> Self {
+        assert!(
+            self.cfg.storms.enabled(),
+            "storm schedule injected into a storm-free run"
+        );
+        self.storms = Some(schedule);
+        self
     }
 
     /// Replace the startup model (tests use the deterministic one).
@@ -510,7 +489,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// clock, so every scheduler in the fleet observes the same market
     /// history at the same simulated instant.
     ///
-    /// Storm-edge telemetry events queued before `at` are dropped (time
+    /// [`SimRun::begin`] queues only the storm edges from `at` on (time
     /// must never move backwards); the storm's *behavioural* effects are
     /// query-based and unaffected.
     pub fn with_start(mut self, at: SimTime) -> Self {
@@ -519,28 +498,47 @@ impl<'t, S: Sink> SimRun<'t, S> {
             "start {at:?} must not pass the horizon {:?}",
             self.horizon
         );
-        while let Some(t) = self.queue.peek_time() {
-            if t >= at {
-                break;
-            }
-            let _ = self.queue.pop();
-        }
         self.now = at;
         self
     }
 
-    /// Start the run: perform the initial acquisition at the current
-    /// simulation time. Call exactly once, before any
+    /// Start the run: build the storm schedule (unless one was injected),
+    /// queue its episode edges from the current time up to the horizon,
+    /// and perform the initial acquisition. Call exactly once, before any
     /// [`SimRun::step_until`]. ([`SimRun::run_reclaim`] calls it for you.)
     pub fn begin(&mut self) {
+        // Storms ride their own seed-derived streams, independent of the
+        // fault streams. An effect-free storm config builds no schedule at
+        // all — bit-identical to a build without any of this.
+        if self.storms.is_none() {
+            self.storms = self.cfg.storm_schedule(self.seed, self.provider.traces());
+        }
+        if let Some(schedule) = &self.storms {
+            self.provider.set_storms(schedule.clone());
+            // Episode edges as telemetry events: the storm's behavioural
+            // effects flow through provider gates and schedule queries, so
+            // these queue entries change nothing but the event stream.
+            // They are pushed before anything else, so FIFO tie-breaking
+            // puts each edge ahead of other events at the same instant.
+            for zone in self.cfg.scope.zones() {
+                for ep in schedule.episodes(zone) {
+                    for (t, started) in [(ep.start, true), (ep.end, false)] {
+                        if self.now <= t && t < self.horizon {
+                            self.queue.push(t, Ev::StormEdge { zone, started });
+                        }
+                    }
+                }
+            }
+        }
         self.initial_acquire();
     }
 
     /// Advance the run, dispatching every queued event strictly before
     /// `limit`. Returns `true` when the run stopped *at* `limit` (or ran
     /// out of events) and is still live; `false` once it consumed an
-    /// event at or past its own horizon — the run is over and the only
-    /// valid next call is [`SimRun::finish_at`].
+    /// event at or past its own horizon — the run is over, every later
+    /// call returns `false` without touching the queue, and
+    /// [`SimRun::finish_at`] settles the events still pending.
     ///
     /// `step_until(SimTime::MAX)` reproduces the legacy single-VM event
     /// loop exactly, including its terminal quirk: the first event at or
@@ -549,6 +547,9 @@ impl<'t, S: Sink> SimRun<'t, S> {
     /// whole experiment suite rides on preserving that order, so do not
     /// "fix" it.
     pub fn step_until(&mut self, limit: SimTime) -> bool {
+        if self.ended {
+            return false;
+        }
         while let Some(t) = self.queue.peek_time() {
             if t >= limit && t < self.horizon {
                 // The next event belongs to a later step window.
@@ -560,6 +561,7 @@ impl<'t, S: Sink> SimRun<'t, S> {
             if t >= self.horizon {
                 // Run over; the event is consumed, not dispatched (see
                 // the doc comment).
+                self.ended = true;
                 return false;
             }
             debug_assert!(t >= self.now, "time went backwards");
@@ -2528,6 +2530,97 @@ mod tests {
     }
 
     #[test]
+    fn step_until_stays_over_once_it_returns_false() {
+        use spothost_market::trace::{PricePoint, PriceTrace};
+        use spothost_telemetry::Recorder;
+        // Calm for ten hours less a minute, then past the 4x bid until
+        // the end: the spot lease is warned at the crossing, and both its
+        // Terminate and the replacement's Ready land after the ten-hour
+        // horizon. The first `false` consumes the earlier Ready.
+        let pon = Catalog::ec2_2015().on_demand_price(market());
+        let horizon = SimDuration::hours(10);
+        let points = vec![
+            PricePoint {
+                at: SimTime::ZERO,
+                price: pon * 0.2,
+            },
+            PricePoint {
+                at: SimTime::ZERO + horizon - SimDuration::minutes(1),
+                price: pon * 5.0,
+            },
+        ];
+        let trace = PriceTrace::new(points, SimTime::ZERO + horizon);
+        let ts = TraceSet::from_traces(&Catalog::ec2_2015(), vec![(market(), trace)], horizon);
+        let mut rec = Recorder::new();
+        let mut run = SimRun::new(&ts, &cfg(), 1)
+            .with_startup_model(StartupModel::deterministic())
+            .with_sink(&mut rec);
+        run.begin();
+        assert!(!run.step_until(SimTime::MAX));
+        let pending = run.queue.len();
+        assert!(pending > 0, "events must remain past the horizon");
+        // Later calls, at any limit, pop nothing.
+        let before_end = SimTime::ZERO + horizon - SimDuration::minutes(1);
+        assert!(!run.step_until(before_end));
+        assert!(!run.step_until(SimTime::MAX));
+        assert_eq!(run.queue.len(), pending);
+        let (report, _) = run.finish_at(SimTime::ZERO + horizon);
+        // `finish_at` settles the revoked lease whose Terminate was still
+        // pending past the horizon.
+        let revoked: Vec<_> = rec
+            .iter()
+            .filter(|(_, ev)| {
+                matches!(
+                    ev,
+                    TelemetryEvent::LeaseClosed {
+                        spot: true,
+                        reason: TerminationReason::Revoked,
+                        ..
+                    }
+                )
+            })
+            .collect();
+        assert_eq!(revoked.len(), 1, "{rec:?}");
+        assert_eq!(revoked[0].0, SimTime::ZERO + horizon);
+        assert_eq!(report.forced_migrations, 1);
+    }
+
+    #[test]
+    fn late_start_emits_the_tail_of_the_storm_edges() {
+        use spothost_faults::StormConfig;
+        use spothost_telemetry::Recorder;
+        let ts = stormy_traces(20, 7);
+        let c = cfg().with_storms(StormConfig::intensity(0.6));
+        let storm_edges = |at: SimTime| {
+            let mut rec = Recorder::new();
+            SimRun::new(&ts, &c, 7)
+                .with_sink(&mut rec)
+                .with_start(at)
+                .run();
+            rec.into_iter()
+                .filter(|(_, ev)| {
+                    matches!(
+                        ev,
+                        TelemetryEvent::StormStarted { .. } | TelemetryEvent::StormEnded { .. }
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let whole = storm_edges(SimTime::ZERO);
+        assert!(whole.len() >= 4, "need several storm edges: {whole:?}");
+        // Mid-run starts, including one exactly on an edge.
+        let horizon = SimTime::ZERO + ts.horizon();
+        for at in [
+            SimTime::ZERO + SimDuration::days(7),
+            whole[whole.len() / 2].0,
+            horizon,
+        ] {
+            let tail: Vec<_> = whole.iter().filter(|(t, _)| *t >= at).cloned().collect();
+            assert_eq!(storm_edges(at), tail, "start {at:?}");
+        }
+    }
+
+    #[test]
     fn early_release_settles_open_leases() {
         let ts = quiet_traces(10);
         let release = SimTime::ZERO + SimDuration::days(3);
@@ -2829,14 +2922,24 @@ mod tests {
     fn effect_free_storm_config_builds_no_schedule() {
         let ts = stormy_traces(10, 5);
         assert!(!spothost_faults::StormConfig::intensity(0.0).enabled());
-        let run = SimRun::new(&ts, &cfg(), 5);
+        // The schedule is built in `begin`, so check after it.
+        let mut run = SimRun::new(&ts, &cfg(), 5);
+        run.begin();
         assert!(run.storms.is_none());
-        let run = SimRun::new(
+        let mut run = SimRun::new(
             &ts,
             &cfg().with_storms(spothost_faults::StormConfig::intensity(0.0)),
             5,
         );
+        run.begin();
         assert!(run.storms.is_none());
+        let mut run = SimRun::new(
+            &ts,
+            &cfg().with_storms(spothost_faults::StormConfig::intensity(0.5)),
+            5,
+        );
+        run.begin();
+        assert!(run.storms.is_some());
     }
 
     #[test]

@@ -38,6 +38,12 @@ use rand_chacha::ChaCha12Rng;
 use spothost_market::gen::derive_seed;
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::Zone;
+use std::cell::Cell;
+
+thread_local! {
+    /// Schedules built on this thread (see [`StormSchedule::built_on_this_thread`]).
+    static BUILT: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Knobs of the correlated-failure storm model. All-zero (the default,
 /// [`StormConfig::none`]) disables everything.
@@ -194,6 +200,7 @@ impl StormSchedule {
         if let Err(e) = cfg.validate() {
             panic!("invalid storm config: {e}");
         }
+        BUILT.with(|b| b.set(b.get() + 1));
         let end = SimTime::ZERO + horizon;
         let stream = |role: &str, id: u64| ChaCha12Rng::seed_from_u64(derive_seed(seed, role, id));
 
@@ -270,6 +277,13 @@ impl StormSchedule {
             crunch: stream("storm-crunch", 0),
             jitter: stream("storm-jitter", 0),
         }
+    }
+
+    /// How many schedules [`StormSchedule::new`] has built on the calling
+    /// thread: a debug counter that lets tests pin how often a simulator
+    /// rebuilds a timeline it could share.
+    pub fn built_on_this_thread() -> u64 {
+        BUILT.with(Cell::get)
     }
 
     pub fn config(&self) -> &StormConfig {

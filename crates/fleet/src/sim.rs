@@ -14,7 +14,8 @@
 //! * at each tick, the least-loaded balancer's even user split lets
 //!   [`spothost_workload::mva::fleet_response`] close the loop — offered
 //!   load → per-VM utilisation → response time → SLO violations — with
-//!   at most **two** MVA solves however large the fleet is;
+//!   at most **two** MVA populations however large the fleet is, each
+//!   solved once per fleet run through an [`MvaMemo`];
 //! * a target-tracking autoscaler compares demand against the per-VM
 //!   capacity at the target utilisation and acquires or releases VMs
 //!   through the ordinary bidding/fault/storm machinery: spawned VMs
@@ -26,7 +27,8 @@
 //! The fleet report is a pure function of `(config, seed, horizon)`:
 //! per-VM provider streams derive from `derive_seed(fleet_seed,
 //! "fleet-vm", spawn_index)`, the storm timeline is pinned to the fleet
-//! seed (one storm hits everyone at once), the flash schedule derives
+//! seed (one storm hits everyone at once; the fleet builds it once and
+//! hands every VM a clone), the flash schedule derives
 //! from its own named stream, and every tick iterates VMs in stable
 //! spawn order. Same seed → byte-identical [`FleetSimReport`]
 //! (proptest-guarded in `tests/fleet_sim_properties.rs`).
@@ -38,13 +40,13 @@ use spothost_core::report::RunReport;
 use spothost_core::scheduler::{SimRun, SimScratch};
 use spothost_core::strategy::MarketScope;
 use spothost_core::telemetry::{NullSinkFactory, Sink, SinkFactory};
-use spothost_faults::StormConfig;
+use spothost_faults::{StormConfig, StormSchedule};
 use spothost_market::catalog::Catalog;
 use spothost_market::gen::{derive_seed, TraceSet};
 use spothost_market::time::{SimDuration, SimTime};
 use spothost_market::types::Zone;
 use spothost_virt::MechanismCombo;
-use spothost_workload::mva::{capacity_at_utilization, fleet_response};
+use spothost_workload::mva::{capacity_at_utilization, MvaMemo};
 use spothost_workload::tpcw::{tpcw_network, NestedPenalties, Platform, TpcwConfig};
 use spothost_workload::traffic::{TrafficConfig, TrafficModel};
 use spothost_workload::ClosedNetwork;
@@ -352,6 +354,11 @@ pub struct FleetSim<'t, F: SinkFactory = NullSinkFactory> {
     sinks: F,
     sched_cfg: SchedulerConfig,
     traffic: TrafficModel,
+    /// The per-VM queueing model, solved once per distinct population.
+    mva: MvaMemo,
+    /// The fleet's storm timeline, built once; every spawned VM runs on a
+    /// clone. Never queried itself, so its random streams stay unused.
+    storms: Option<StormSchedule>,
     seed: u64,
     horizon: SimTime,
     queue: EventQueue<FleetEv>,
@@ -402,6 +409,10 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         let traffic = TrafficModel::new(cfg.traffic.clone(), seed, traces.horizon());
         let per_vm_cap = capacity_at_utilization(&cfg.per_vm_network, cfg.target_utilization);
         let sched_cfg = cfg.scheduler_config(seed);
+        let mva = MvaMemo::new(cfg.per_vm_network.clone());
+        // `sched_cfg` pins the storm seed, so this is the schedule every
+        // VM's `SimRun::begin` would build.
+        let storms = sched_cfg.storm_schedule(seed, traces);
         let baseline_rate = cfg.scope().baseline_rate(traces.catalog(), cfg.vm_units);
         let mut queue = EventQueue::with_capacity(16);
         queue.push(SimTime::ZERO, FleetEv::ControlTick);
@@ -411,6 +422,8 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             sinks,
             sched_cfg,
             traffic,
+            mva,
+            storms,
             seed,
             horizon,
             queue,
@@ -443,6 +456,13 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
 
     /// Run the whole simulation and report.
     pub fn run(mut self) -> FleetSimReport {
+        self.drive();
+        self.into_report()
+    }
+
+    /// Run every control tick, then settle every VM still alive at the
+    /// horizon.
+    fn drive(&mut self) {
         // Boot the floor fleet at t = 0.
         for _ in 0..self.cfg.min_vms {
             self.spawn(SimTime::ZERO);
@@ -464,7 +484,6 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             self.finished.push(report);
             self.scratch_pool.push(scratch);
         }
-        self.into_report()
     }
 
     /// Spawn one VM starting at `at`, drawing a fresh derived seed and
@@ -478,6 +497,9 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
         let mut run = SimRun::with_scratch(self.traces, &self.sched_cfg, vm_seed, scratch)
             .with_sink(sink)
             .with_start(at);
+        if let Some(storms) = &self.storms {
+            run = run.with_storm_schedule(storms.clone());
+        }
         run.begin();
         self.vms.push(VmSlot {
             run,
@@ -527,12 +549,9 @@ impl<'t, F: SinkFactory> FleetSim<'t, F> {
             .min(SimDuration(self.horizon.0 - t.0));
         let dt_s = dt.0 as f64 / 1_000.0;
         let (utilization, mean_r, p99) = if serving > 0 {
-            let load = fleet_response(
-                &self.cfg.per_vm_network,
-                users,
-                serving as u64,
-                self.cfg.slo_response_s,
-            );
+            let load = self
+                .mva
+                .fleet_response(users, serving as u64, self.cfg.slo_response_s);
             self.violation_user_seconds += load.slo_violation_frac * users_f * dt_s;
             self.worst_p99_s = self.worst_p99_s.max(load.p99_response_s);
             (load.utilization, load.mean_response_s, load.p99_response_s)
@@ -789,6 +808,44 @@ mod tests {
         };
         let zero = run_fleet_sim(&zero_cfg, 13, SimDuration::days(5));
         assert_eq!(calm, zero);
+    }
+
+    #[test]
+    fn per_fleet_invariants_are_computed_once() {
+        let cfg = FleetSimConfig {
+            storms: StormConfig::intensity(0.5),
+            ..small_cfg()
+        };
+        let horizon = SimDuration::days(3);
+        let markets: Vec<_> = spothost_market::types::MarketId::all_in_zone(Zone::UsEast1a);
+        let traces = TraceSet::generate(&Catalog::ec2_2015(), &markets, 17, horizon);
+        let built = StormSchedule::built_on_this_thread();
+        let mut sim = FleetSim::new(cfg, &traces, 17);
+        sim.drive();
+        // One storm timeline for the whole fleet, however many VMs spawn.
+        assert!(sim.spawn_counter > 2, "fleet must scale up");
+        assert_eq!(StormSchedule::built_on_this_thread() - built, 1);
+        // One MVA solve per distinct balanced population the ticks needed.
+        let mut pops = std::collections::BTreeSet::new();
+        for s in sim.samples.iter().filter(|s| s.serving > 0) {
+            let (users, serving) = (s.users.round().max(0.0) as u64, s.serving as u64);
+            if users == 0 {
+                pops.insert(1);
+                continue;
+            }
+            if users % serving > 0 {
+                pops.insert(users / serving + 1);
+            }
+            if users / serving > 0 {
+                pops.insert(users / serving);
+            }
+        }
+        assert_eq!(sim.mva.solves(), pops.len() as u64);
+        assert!(pops.len() < sim.samples.len(), "populations must repeat");
+        // A calm fleet builds no storm timeline at all.
+        let built = StormSchedule::built_on_this_thread();
+        run_fleet_sim(&small_cfg(), 17, horizon);
+        assert_eq!(StormSchedule::built_on_this_thread(), built);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! streams that demultiplex back into each VM's emission order.
 
 use spothost_eventstore::{ColReader, ColumnarStore, EventKind, Predicate};
+use spothost_faults::StormConfig;
 use spothost_fleet::sim::{run_fleet_sim, run_fleet_sim_with, FleetSimConfig};
 use spothost_market::time::SimDuration;
+use spothost_market::types::Zone;
 use spothost_workload::traffic::TrafficConfig;
 
 fn small_cfg() -> FleetSimConfig {
@@ -83,4 +85,42 @@ fn fleet_store_demultiplexes_per_vm_streams() {
         .expect("select");
     assert!(!closed.events.is_empty());
     assert!(closed.events.iter().all(|se| se.vm.is_some()));
+}
+
+#[test]
+fn storm_fleet_reports_and_stores_repeat_exactly() {
+    // Every VM runs on a clone of the fleet's one storm timeline; a clone
+    // whose streams were already drawn from would show up here as a
+    // report or a store that differs between two runs.
+    let cfg = FleetSimConfig {
+        storms: StormConfig::intensity(0.5),
+        zones: vec![Zone::UsEast1a, Zone::UsWest1a],
+        ..small_cfg()
+    };
+    let horizon = SimDuration::days(3);
+    let record = || {
+        let store = ColumnarStore::in_memory().with_block_events(256);
+        let report = run_fleet_sim_with(&cfg, 29, horizon, store.clone());
+        store.finish().expect("flush");
+        (report, store.bytes())
+    };
+    let (report_a, bytes_a) = record();
+    let (report_b, bytes_b) = record();
+    assert_eq!(report_a, report_b);
+    assert_eq!(bytes_a, bytes_b, "store bytes differ between runs");
+    let reader = ColReader::from_bytes(&bytes_a).expect("parse");
+    let storm_edges = reader
+        .select(&Predicate::any().with_kind(EventKind::StormStarted))
+        .expect("select");
+    assert!(!storm_edges.events.is_empty(), "no storm reached the fleet");
+    // Each VM's stream decodes to the same events in both stores.
+    let reader_b = ColReader::from_bytes(&bytes_b).expect("parse");
+    for vm in reader.vms().into_iter().flatten() {
+        let pick = |r: &ColReader| {
+            r.select(&Predicate::any().with_vm(vm))
+                .expect("select")
+                .events
+        };
+        assert_eq!(pick(&reader), pick(&reader_b), "vm{vm}");
+    }
 }

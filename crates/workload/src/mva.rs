@@ -11,6 +11,8 @@
 //! Q_i(n) = X(n) * R_i(n)                mean queue at station i
 //! ```
 
+use std::collections::HashMap;
+
 /// One queueing station with its aggregate per-job service demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Station {
@@ -134,6 +136,77 @@ pub struct FleetLoad {
     pub slo_violation_frac: f64,
 }
 
+/// The three numbers fleet aggregation reads from one population's
+/// solve: response time, throughput and bottleneck utilisation.
+#[derive(Debug, Clone, Copy)]
+struct MvaPoint {
+    response_s: f64,
+    throughput: f64,
+    bottleneck_utilization: f64,
+}
+
+impl MvaPoint {
+    fn of(sol: &MvaResult) -> Self {
+        MvaPoint {
+            response_s: sol.response_s,
+            throughput: sol.throughput,
+            bottleneck_utilization: sol.utilizations.iter().copied().fold(0.0, f64::max),
+        }
+    }
+}
+
+/// A per-population memo of one network's MVA solutions, keeping the
+/// three numbers fleet aggregation reads: response time, throughput and
+/// bottleneck utilisation.
+///
+/// A fleet re-solves its latency model at every control tick, but the
+/// balanced per-VM populations repeat: the memo solves each population
+/// once, with [`ClosedNetwork::solve`], and answers repeats from a map.
+/// Values are the solver's own, so a memoised [`MvaMemo::fleet_response`]
+/// is bit-identical to [`fleet_response`]. Memory grows with the number
+/// of distinct populations seen, not with the largest one.
+#[derive(Debug, Clone)]
+pub struct MvaMemo {
+    network: ClosedNetwork,
+    points: HashMap<u32, MvaPoint>,
+    solves: u64,
+}
+
+impl MvaMemo {
+    /// An empty memo over `network`.
+    pub fn new(network: ClosedNetwork) -> Self {
+        MvaMemo {
+            network,
+            points: HashMap::new(),
+            solves: 0,
+        }
+    }
+
+    /// The solution at population `n`, solved on first request.
+    fn point(&mut self, n: u32) -> MvaPoint {
+        let MvaMemo {
+            network,
+            points,
+            solves,
+        } = self;
+        *points.entry(n).or_insert_with(|| {
+            *solves += 1;
+            MvaPoint::of(&network.solve(n))
+        })
+    }
+
+    /// [`ClosedNetwork::solve`] calls made so far: one per distinct
+    /// population requested.
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    /// [`fleet_response`] over the memoised network.
+    pub fn fleet_response(&mut self, users: u64, servers: u64, slo_s: f64) -> FleetLoad {
+        fleet_load(users, servers, slo_s, |n| self.point(n))
+    }
+}
+
 /// Solve the fleet: `users` concurrent users least-loaded-balanced over
 /// `servers` identical VMs, each modelled by `per_vm`.
 ///
@@ -141,19 +214,31 @@ pub struct FleetLoad {
 /// evenly as integers allow: `users mod servers` VMs carry
 /// `ceil(users/servers)` users, the rest `floor(users/servers)`. Only
 /// those **two** populations ever need an MVA solve, so fleet-level
-/// aggregation is O(users/servers) regardless of fleet size — this is
-/// what lets a 2000-VM fleet re-solve its latency model at every
-/// autoscaler control tick.
+/// aggregation is O(users/servers) regardless of fleet size. A caller
+/// that re-solves the same network repeatedly (the fleet's control tick)
+/// uses [`MvaMemo::fleet_response`], which shares this code and solves
+/// each population only once.
 ///
 /// Panics if `servers == 0` (the caller decides what a total outage
 /// means; this function only models a serving fleet).
 pub fn fleet_response(per_vm: &ClosedNetwork, users: u64, servers: u64, slo_s: f64) -> FleetLoad {
+    fleet_load(users, servers, slo_s, |n| MvaPoint::of(&per_vm.solve(n)))
+}
+
+/// The fleet aggregation behind [`fleet_response`] and
+/// [`MvaMemo::fleet_response`]; `point(n)` solves population `n`.
+fn fleet_load(
+    users: u64,
+    servers: u64,
+    slo_s: f64,
+    mut point: impl FnMut(u32) -> MvaPoint,
+) -> FleetLoad {
     assert!(servers > 0, "fleet_response needs at least one serving VM");
     assert!(slo_s > 0.0 && slo_s.is_finite());
     if users == 0 {
         // No demand: an idle fleet serves a hypothetical request at the
         // raw (contention-free) demand.
-        let r = per_vm.solve(1);
+        let r = point(1);
         return FleetLoad {
             mean_response_s: r.response_s,
             p99_response_s: r.response_s * 100f64.ln(),
@@ -166,26 +251,17 @@ pub fn fleet_response(per_vm: &ClosedNetwork, users: u64, servers: u64, slo_s: f
     let hi_pop = lo_pop + 1;
     let hi_vms = users % servers;
     let lo_vms = servers - hi_vms;
-    let hi = if hi_vms > 0 {
-        Some(per_vm.solve(hi_pop.min(u32::MAX as u64) as u32))
-    } else {
-        None
-    };
-    let lo = if lo_vms > 0 && lo_pop > 0 {
-        Some(per_vm.solve(lo_pop.min(u32::MAX as u64) as u32))
-    } else {
-        None
-    };
+    let hi = (hi_vms > 0).then(|| point(hi_pop.min(u32::MAX as u64) as u32));
+    let lo = (lo_vms > 0 && lo_pop > 0).then(|| point(lo_pop.min(u32::MAX as u64) as u32));
     let mut weighted_r = 0.0;
     let mut weighted_u = 0.0;
     let mut weighted_v = 0.0;
     let mut throughput = 0.0;
     let mut worst_r = 0.0f64;
-    let mut add = |sol: &MvaResult, vms: u64, pop: u64| {
+    let mut add = |sol: &MvaPoint, vms: u64, pop: u64| {
         let w = (vms * pop) as f64 / users as f64;
-        let u_bottleneck = sol.utilizations.iter().copied().fold(0.0, f64::max);
         weighted_r += w * sol.response_s;
-        weighted_u += w * u_bottleneck;
+        weighted_u += w * sol.bottleneck_utilization;
         weighted_v += w * violation(sol.response_s, slo_s);
         throughput += vms as f64 * sol.throughput;
         worst_r = worst_r.max(sol.response_s);
@@ -349,6 +425,19 @@ mod tests {
         // Fewer users than servers: every user alone on a VM.
         let sparse = fleet_response(&net, 3, 5, 0.5);
         assert!((sparse.mean_response_s - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn memo_solves_each_population_once() {
+        let net = single(0.016, 4.0);
+        let mut memo = MvaMemo::new(net.clone());
+        // 301 on 3 needs populations 101 and 100; 300 on 3 needs 100 only;
+        // 0 users needs population 1.
+        for (users, servers) in [(301, 3), (300, 3), (301, 3), (0, 4), (0, 9)] {
+            let got = memo.fleet_response(users, servers, 1.0);
+            assert_eq!(got, fleet_response(&net, users, servers, 1.0));
+        }
+        assert_eq!(memo.solves(), 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! closed queueing networks (asymptotic bound analysis).
 
 use proptest::prelude::*;
-use spothost_workload::mva::{ClosedNetwork, Station};
+use spothost_workload::mva::{fleet_response, ClosedNetwork, FleetLoad, MvaMemo, Station};
 
 fn arb_network() -> impl Strategy<Value = ClosedNetwork> {
     (prop::collection::vec(0.001f64..0.2, 1..5), 0.0f64..20.0).prop_map(|(demands, think)| {
@@ -86,5 +86,66 @@ proptest! {
         let r1 = zero_think.solve(n).response_s;
         let r2 = doubled.solve(n).response_s;
         prop_assert!((r2 - 2.0 * r1).abs() < 1e-6 * r2.max(1.0));
+    }
+}
+
+/// Every field of a fleet load, as raw bits.
+fn load_bits(l: &FleetLoad) -> [u64; 5] {
+    [
+        l.mean_response_s.to_bits(),
+        l.p99_response_s.to_bits(),
+        l.utilization.to_bits(),
+        l.throughput.to_bits(),
+        l.slo_violation_frac.to_bits(),
+    ]
+}
+
+/// A `(users, servers)` sequence drawn from a small pool, so populations
+/// repeat (memo hits) as well as appear for the first time (misses). The
+/// pool covers idle fleets, one server, and fewer users than servers.
+fn arb_queries() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    let pair = prop_oneof![
+        (Just(0u64), 1u64..40),
+        (0u64..3_000, Just(1u64)),
+        (0u64..20, 20u64..60),
+        (0u64..6_000, 1u64..200),
+    ];
+    (
+        prop::collection::vec(pair, 1..12),
+        prop::collection::vec(0usize..1_000, 1..60),
+    )
+        .prop_map(|(pool, picks)| picks.into_iter().map(|i| pool[i % pool.len()]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn memoised_fleet_response_is_bit_identical(
+        net in arb_network(),
+        queries in arb_queries(),
+        slo in 0.05f64..5.0,
+    ) {
+        let mut memo = MvaMemo::new(net.clone());
+        let mut pops = std::collections::HashSet::new();
+        for &(users, servers) in &queries {
+            let fresh = fleet_response(&net, users, servers, slo);
+            let memoised = memo.fleet_response(users, servers, slo);
+            prop_assert_eq!(load_bits(&memoised), load_bits(&fresh),
+                "users {} servers {}", users, servers);
+            if users == 0 {
+                pops.insert(1);
+            } else {
+                let lo = users / servers;
+                if users % servers > 0 {
+                    pops.insert(lo + 1);
+                }
+                if lo > 0 {
+                    pops.insert(lo);
+                }
+            }
+        }
+        // Each population was solved exactly once.
+        prop_assert_eq!(memo.solves(), pops.len() as u64);
     }
 }
